@@ -5,15 +5,19 @@ The monomial
     d(1,2,3|4,5,6,7,8,9)^3 * d(1,2,3,4,5|6,7,8,9)
       * d(1,2,3,4,5,8,9|6,7) * d(1,2,3,4,5,6,7|8,9)
 
-has no crossing pair, so it corresponds to a loaded tree: pick a pivot
-cut, nest the other cuts' parts inside its two sides by containment, and
-bridge the two maximal sets.  Each edge recovers its cut by deleting it
-and reading off the labels of the two components.
+has no crossing pair, so it corresponds to a loaded tree: orient every
+cut by its side away from label 1; those sides nest, and their
+containment tree, with label 1 at the root, is the loaded tree.  Each
+edge recovers its cut by deleting it and reading off the labels of the
+two components.
 """
 import json
 
 from deltaforest import (
-    canonical_form,
+    Cut,
+    LoadedTree,
+    Monomial,
+    isomorphic,
     monomial_to_tree,
     parse_monomial,
     tree_to_dot,
@@ -38,6 +42,16 @@ back = tree_to_monomial(t)
 print("tree read back as a monomial:", back == m and "matches the input" or back)
 
 print()
-print("the pivot choice does not matter up to relabeling of vertex ids:")
-forms = {canonical_form(monomial_to_tree(m, pivot=cut)) for cut in m.factors}
-print(f"  {len(m.factors)} possible pivots, {len(forms)} distinct tree(s)")
+print("the tree does not depend on label 1 being the reference; swap 1 and 9:")
+swap = {1: 9, 9: 1}
+
+
+def relabel(labels):
+    return {swap.get(x, x) for x in labels}
+
+
+swapped = Monomial(
+    9, [(Cut.from_part(relabel(c.second), 9), e) for c, e in m.factors.items()]
+)
+expected = LoadedTree(9, {v: relabel(s) for v, s in t.labels.items()}, t.multiplicity)
+print("  same tree up to vertex ids:", isomorphic(monomial_to_tree(swapped), expected))

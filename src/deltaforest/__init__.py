@@ -9,6 +9,7 @@ cross-checking.
 from .model import (
     AmbientMismatchError,
     Classification,
+    CrossingFactorsError,
     Cut,
     InvalidCutError,
     Monomial,
@@ -20,7 +21,6 @@ from .model import (
 )
 from .expressions import ParseError, parse_monomial, render_monomial
 from .trees import (
-    CrossingFactorsError,
     EmptyNonTrivialError,
     LoadedTree,
     canonical_form,

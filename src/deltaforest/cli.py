@@ -12,6 +12,7 @@ import argparse
 import json
 import random
 import sys
+from decimal import Decimal
 
 from .expressions import ParseError, parse_monomial, render_monomial
 from .forest import eval_loaded_tree, sign_of, to_weighted
@@ -60,7 +61,8 @@ def _report(text: str, *, use_oracle: bool, check_oracle: bool, trace: bool) -> 
                     f"forest value {value} != cut-recursion value {other} "
                     f"for {report['input']}"
                 )
-    report["value"] = str(value)
+    # Decimal's conversion has no digit limit, unlike int -> str.
+    report["value"] = str(Decimal(value))
     report["sign"] = sign
     if trace:
         report["stages"] = stages
@@ -121,6 +123,9 @@ def _cmd_tree(args) -> int:
 def _cmd_random(args) -> int:
     if args.n < 3:
         print(f"error: need n >= 3, got {args.n}", file=sys.stderr)
+        return EXIT_INPUT
+    if args.count < 0:
+        print(f"error: need --count >= 0, got {args.count}", file=sys.stderr)
         return EXIT_INPUT
     rng = random.Random(args.seed)
     for _ in range(args.count):

@@ -6,7 +6,8 @@ delta_{I,J} of the ambient intersection ring; a *monomial* is a product
 of such generators with positive integer exponents.  Two cuts *cross*
 when all four pairwise intersections of their parts are nonempty
 (Keel's quadratic relation); any monomial containing a crossing pair
-has value zero.
+has value zero.  :func:`nest` decides in one pass whether any two factors
+cross and, when none do, returns the containment tree of their sides.
 """
 from __future__ import annotations
 
@@ -29,6 +30,10 @@ class NotAPartitionError(InvalidCutError):
 
 class AmbientMismatchError(ValueError):
     """Two objects built over different label sets were combined."""
+
+
+class CrossingFactorsError(ValueError):
+    """The monomial has two crossing factors, so no tree exists."""
 
 
 @dataclass(frozen=True)
@@ -158,14 +163,35 @@ class Monomial:
         return f"Monomial(n={self.n}, {body})"
 
 
-def has_crossing_pair(m: Monomial) -> bool:
-    """One quadratic pass over the distinct factors."""
-    cuts = list(m.factors)
-    for i, a in enumerate(cuts):
-        for b in cuts[i + 1 :]:
-            if crosses(a, b):
-                return True
-    return False
+def nest(m: Monomial) -> list[tuple[Cut, Cut | None]]:
+    """Each factor with its parent in the containment tree of the sides.
+
+    Orients every cut by its side away from label 1 (``Cut.second``); the
+    factors pairwise do not cross iff these sides are laminar (any two
+    nested or disjoint), and a side's parent is the smallest side strictly
+    containing it, or ``None``.  Factors come outermost first (side size
+    descending, then ``sort_key``), whatever the order of ``m.factors``.
+    A side whose labels disagree on the innermost side placed so far
+    raises :class:`CrossingFactorsError` naming two crossing factors.
+    """
+    order = sorted(m.factors, key=lambda c: (-len(c.second), c.sort_key))
+    inner: dict[int, Cut] = {}
+    out = []
+    for cut in order:
+        first, *rest = cut.second
+        parent = inner.get(first)
+        for x in rest:
+            other = inner.get(x)
+            if other is not parent:
+                # No placed side is smaller than this one, so one holding a
+                # label but not the other crosses it: ``parent`` if it
+                # misses x, else ``other``, which then misses ``first``.
+                witness = other if parent is None or x in parent.second else parent
+                raise CrossingFactorsError(f"factors {witness} and {cut} cross")
+        for x in cut.second:
+            inner[x] = cut
+        out.append((cut, parent))
+    return out
 
 
 def classify(m: Monomial) -> Classification:
@@ -177,7 +203,9 @@ def classify(m: Monomial) -> Classification:
     """
     if m.degree != m.n - 3:
         return Classification.DEGREE_MISMATCH
-    if has_crossing_pair(m):
+    try:
+        nest(m)
+    except CrossingFactorsError:
         return Classification.ZERO_BY_KEEL
     if all(e == 1 for e in m.factors.values()):
         return Classification.CLEVER

@@ -7,23 +7,19 @@ label sets of the two components obtained by removing it.  Tree monomials
 (no crossing pair of factors) correspond one-to-one with loaded trees; a
 tree is *proper* when its total edge multiplicity equals n - 3.
 
-``monomial_to_tree`` builds the tree by augmenting a pivot cut with all
-parts of the other cuts nested inside it, taking the Hasse diagram of the
-resulting laminar family under set containment, and bridging its two
-maximal elements.  ``tree_to_monomial`` is the straightforward inverse.
+``monomial_to_tree`` reads the tree off :func:`~deltaforest.model.nest`:
+orienting every cut by its side away from label 1, the sides of a tree
+monomial form a laminar family, and its containment tree is the loaded
+tree.  ``tree_to_monomial`` is the straightforward inverse.
 """
 from __future__ import annotations
 
 import random
 from typing import Iterable, Mapping
 
-from .model import Cut, Monomial, crosses
+from .model import CrossingFactorsError, Cut, Monomial, nest  # noqa: F401 (re-export)
 
 Edge = tuple  # (u, v) with u < v
-
-
-class CrossingFactorsError(ValueError):
-    """The monomial has two crossing factors, so no tree exists."""
 
 
 class EmptyNonTrivialError(ValueError):
@@ -171,18 +167,14 @@ def validate(t: LoadedTree) -> list[str]:
     return problems
 
 
-def monomial_to_tree(m: Monomial, *, pivot: Cut | None = None) -> LoadedTree:
+def monomial_to_tree(m: Monomial) -> LoadedTree:
     """Build the loaded tree corresponding to a tree monomial.
 
-    Picks a pivot cut {I, J} (the canonically smallest unless ``pivot`` is
-    given), collects every part of the other cuts strictly contained in I
-    or J, forms the Hasse diagram of the collection under set containment,
-    and joins the two maximal elements I and J by the pivot edge.  The
-    vertex label of each element is what remains after removing its Hasse
-    predecessors; edge multiplicities are the factor exponents.
-
-    The result is independent of the pivot choice up to relabeling of the
-    vertex ids.
+    Vertex 0 holds label 1; each factor, in :func:`~deltaforest.model.nest`
+    order, adds a vertex holding its side minus the sides nested in it,
+    joined to its parent's vertex by an edge whose multiplicity is the
+    factor's exponent.  Raises :class:`CrossingFactorsError` when two
+    factors cross.
     """
     n = m.n
     if m.degree == 0:
@@ -192,47 +184,14 @@ def monomial_to_tree(m: Monomial, *, pivot: Cut | None = None) -> LoadedTree:
             f"the empty monomial corresponds to a tree only for n=3, got n={n}"
         )
 
-    cuts = sorted(m.factors, key=lambda c: c.sort_key)
-    for i, a in enumerate(cuts):
-        for b in cuts[i + 1 :]:
-            if crosses(a, b):
-                raise CrossingFactorsError(f"factors {a} and {b} cross")
-
-    c0 = cuts[0] if pivot is None else pivot
-    if pivot is not None and pivot not in m.factors:
-        raise ValueError(f"pivot {pivot} is not a factor of the monomial")
-    big_i, big_j = c0.first, c0.second
-
-    # one part per non-pivot cut nests strictly inside I or J
-    family = {big_i, big_j}
-    for cut in cuts:
-        if cut == c0:
-            continue
-        for part in (cut.first, cut.second):
-            if part < big_i or part < big_j:
-                family.add(part)
-
-    sets = sorted(family, key=lambda s: tuple(sorted(s)))
-    index = {s: i for i, s in enumerate(sets)}
-
-    # Hasse diagram: the family is laminar, so the immediate superset of a
-    # non-maximal element is its smallest strict superset.
+    vertex: dict[Cut | None, int] = {None: 0}
+    labels = {0: set(range(1, n + 1))}
     mult: dict[Edge, int] = {}
-    children: dict[frozenset, list[frozenset]] = {s: [] for s in sets}
-    for s in sets:
-        if s == big_i or s == big_j:
-            continue
-        supersets = [t for t in sets if s < t]
-        parent = min(supersets, key=len)
-        children[parent].append(s)
-        cut = Cut.from_part(s, n)
-        mult[_edge(index[s], index[parent])] = m.factors[cut]
-    mult[_edge(index[big_i], index[big_j])] = m.factors[c0]
-
-    labels = {}
-    for s in sets:
-        covered = frozenset().union(*children[s]) if children[s] else frozenset()
-        labels[index[s]] = s - covered
+    for v, (cut, parent) in enumerate(nest(m), 1):
+        vertex[cut] = v
+        labels[v] = set(cut.second)
+        labels[vertex[parent]] -= cut.second
+        mult[(vertex[parent], v)] = m.factors[cut]
     return LoadedTree(n, labels, mult)
 
 

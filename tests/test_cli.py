@@ -1,6 +1,8 @@
 """Command-line interface: reports, exit codes, determinism."""
 import io
 import json
+from decimal import Decimal
+from math import comb
 
 from deltaforest.cli import main
 from conftest import EXAMPLE9_TEXT, KEEL_TEXT
@@ -73,6 +75,18 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--plain", "--file", str(path))
         assert code == 0
         assert out == "2\n"
+
+    def test_value_beyond_int_str_digit_limit(self, capsys):
+        # comb(19996, 9998) has over 6000 digits
+        low = ",".join(map(str, range(1, 10001)))
+        high = ",".join(map(str, range(10001, 20001)))
+        text = f"n=20000; d({low}|{high})^19997"
+        for command in ("eval", "oracle"):
+            code, out, err = run(capsys, command, text)
+            assert code == 0, err
+            value = json.loads(out)["value"]
+            assert len(value) > 4300
+            assert Decimal(value) == Decimal(comb(19996, 9998))
 
     def test_deterministic_output(self, capsys):
         first = run(capsys, "eval", "--trace", EXAMPLE9_TEXT)
@@ -167,6 +181,12 @@ class TestRandom:
     def test_small_n_exits_2(self, capsys):
         code, _, err = run(capsys, "random", "2")
         assert code == 2
+
+    def test_negative_count_exits_2(self, capsys):
+        code, out, err = run(capsys, "random", "5", "--count", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_random_feeds_oracle_check(self, capsys):
         code, out, _ = run(capsys, "random", "10", "--count", "25", "--seed", "11")

@@ -1,5 +1,6 @@
 """Cuts, crossing, and monomial classification."""
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from deltaforest import (
     AmbientMismatchError,
     Classification,
+    CrossingFactorsError,
     Cut,
     Monomial,
     NotAPartitionError,
@@ -16,7 +18,10 @@ from deltaforest import (
     classify,
     crosses,
     parse_monomial,
+    tree_to_monomial,
 )
+from deltaforest.model import nest
+from deltaforest.trees import _random_proper_tree
 from conftest import CLEVER5_TEXT, EXAMPLE9_TEXT, KEEL_TEXT, all_cuts
 
 
@@ -143,3 +148,62 @@ class TestClassify:
 
     def test_empty_monomial_n3_is_clever(self):
         assert classify(parse_monomial("n=3; 1")) is Classification.CLEVER
+
+
+def _with_extra_cut(seed: int, n: int) -> Monomial:
+    """A random proper tree monomial with one random cut added, keeping the
+    degree n - 3 by lowering the exponent of another factor."""
+    rng = random.Random(seed)
+    factors = tree_to_monomial(_random_proper_tree(n, rng)).factors
+    drop = rng.choice(list(factors))
+    factors = {c: e - (c == drop) for c, e in factors.items()}
+    extra = Cut.from_part(rng.sample(range(1, n + 1), rng.randint(2, n - 2)), n)
+    return Monomial(n, [(c, e) for c, e in factors.items() if e] + [(extra, 1)])
+
+
+def _witnesses(m: Monomial) -> list[Cut]:
+    """The factors named by the CrossingFactorsError that nest raises."""
+    with pytest.raises(CrossingFactorsError) as err:
+        nest(m)
+    return [
+        parse_monomial(f"n={m.n}; {text}").sorted_factors()[0][0]
+        for text in re.findall(r"d\([^)]*\)", str(err.value))
+    ]
+
+
+class TestNest:
+    @settings(max_examples=300)
+    @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=4, max_value=12))
+    def test_verdict_and_witness_match_crosses(self, seed, n):
+        m = _with_extra_cut(seed, n)
+        assert m.degree == n - 3
+        crossing = any(crosses(a, b) for a in m.factors for b in m.factors)
+        assert (classify(m) is Classification.ZERO_BY_KEEL) == crossing
+        if crossing:
+            a, b = _witnesses(m)
+            assert a in m.factors and b in m.factors
+            assert crosses(a, b)
+        else:
+            for cut, parent in nest(m):
+                above = [c.second for c in m.factors if cut.second < c.second]
+                if parent is None:
+                    assert not above
+                else:
+                    assert parent.second == min(above, key=len)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # {3,4,5} is placed first; label 2 of {2,3,5} is in no earlier side
+            KEEL_TEXT,
+            # {2,5,6} is placed first; {2,3,4} meets it in 2 only
+            "n=7; d(1,5,6,7|2,3,4) * d(1,3,4,7|2,5,6) * d(1,2,3,4,7|5,6)",
+        ],
+    )
+    def test_witness_when_a_label_is_in_no_earlier_side(self, text):
+        a, b = _witnesses(parse_monomial(text))
+        assert crosses(a, b)
+
+    def test_outermost_first(self):
+        sizes = [len(cut.second) for cut, _ in nest(parse_monomial(EXAMPLE9_TEXT))]
+        assert sizes == sorted(sizes, reverse=True)

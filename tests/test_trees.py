@@ -14,6 +14,7 @@ from deltaforest import (
     monomial_to_tree,
     parse_monomial,
     random_proper_tree,
+    render_monomial,
     tree_to_monomial,
     validate,
 )
@@ -55,15 +56,43 @@ class TestMonomialToTree:
         with pytest.raises(CrossingFactorsError):
             monomial_to_tree(parse_monomial(KEEL_TEXT))
 
-    def test_pivot_independence(self):
+    def test_reference_label_independence(self):
+        # moving label 1 elsewhere changes which side of each cut is
+        # oriented away from it, but not the tree
         rng = random.Random(31)
         for _ in range(60):
-            t0 = _random_proper_tree(rng.randint(4, 9), rng)
-            m = tree_to_monomial(t0)
-            forms = {
-                canonical_form(monomial_to_tree(m, pivot=cut)) for cut in m.factors
-            }
-            assert len(forms) == 1
+            n = rng.randint(4, 9)
+            m = tree_to_monomial(_random_proper_tree(n, rng))
+            t = monomial_to_tree(m)
+            images = rng.sample(range(1, n + 1), n)
+            if images[0] == 1:
+                images[0], images[1] = images[1], images[0]
+            perm = dict(zip(range(1, n + 1), images))
+            moved = LoadedTree(
+                n,
+                {v: {perm[x] for x in s} for v, s in t.labels.items()},
+                t.multiplicity,
+            )
+            permuted = Monomial(
+                n,
+                [
+                    (Cut.from_part({perm[x] for x in c.second}, n), e)
+                    for c, e in m.factors.items()
+                ],
+            )
+            assert isomorphic(monomial_to_tree(permuted), moved)
+
+    def test_factor_order_does_not_change_vertex_ids(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            text = render_monomial(
+                tree_to_monomial(_random_proper_tree(rng.randint(4, 12), rng))
+            )
+            head, body = text.split("; ")
+            factors = body.split(" * ")
+            rng.shuffle(factors)
+            shuffled = parse_monomial(f"{head}; {' * '.join(factors)}")
+            assert monomial_to_tree(shuffled) == monomial_to_tree(parse_monomial(text))
 
     def test_edge_count_and_multiplicity_sum(self):
         rng = random.Random(77)
