@@ -20,15 +20,11 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .model import Classification, Monomial, classify
 from .trees import Edge, LoadedTree, monomial_to_tree, _edge
-
-FROM_VERTEX = "vertex"
-FROM_EDGE = "edge"
-FROM_LEAF_VERTEX = "leaf_vertex"
 
 
 class WeightIdentityError(ValueError):
@@ -64,16 +60,10 @@ class WeightedTree:
 
 @dataclass
 class RedundancyTree:
-    """Tree with nonnegative vertex weights and provenance tags.
-
-    ``origin`` records whether a vertex subdivides an edge of the source
-    tree or descends from one of its vertices (leaf vertices tagged
-    separately); the tags feed traces only, never the value.
-    """
+    """Tree with nonnegative vertex weights."""
 
     weight: dict
     edges: set
-    origin: dict = field(default_factory=dict)
 
     @property
     def vertices(self) -> list[int]:
@@ -130,24 +120,15 @@ def sign_of(wt: WeightedTree) -> int:
 def to_redundancy(wt: WeightedTree) -> RedundancyTree:
     """Subdivide every edge once; the middle vertex inherits the edge weight."""
     weight = dict(wt.vertex_weight)
-    origin = {}
-    degree = {v: 0 for v in wt.vertex_weight}
-    for u, v in wt.edge_weight:
-        degree[u] += 1
-        degree[v] += 1
-    for v in wt.vertex_weight:
-        origin[v] = FROM_LEAF_VERTEX if degree[v] == 1 else FROM_VERTEX
-
     edges = set()
     next_id = max(wt.vertex_weight) + 1 if wt.vertex_weight else 0
     for u, v in wt.edges:
         mid = next_id
         next_id += 1
         weight[mid] = wt.edge_weight[(u, v)]
-        origin[mid] = FROM_EDGE
         edges.add(_edge(u, mid))
         edges.add(_edge(mid, v))
-    return RedundancyTree(weight, edges, origin)
+    return RedundancyTree(weight, edges)
 
 
 def prune(rt: RedundancyTree) -> RedundancyForest:
@@ -186,17 +167,19 @@ def prune(rt: RedundancyTree) -> RedundancyForest:
         RedundancyTree(
             weight={v: rt.weight[v] for v in group},
             edges=set(edges_by_component[cid]),
-            origin={v: rt.origin.get(v, FROM_VERTEX) for v in group},
         )
         for cid, group in enumerate(members)
     ]
     return RedundancyForest(trees)
 
 
-def _snapshot(weight: dict, edges) -> dict:
+def _snapshot(weight: dict, adj: dict) -> dict:
+    """The remaining component: adjacency restricted to vertices in ``weight``."""
     return {
         "vertices": [{"id": v, "weight": weight[v]} for v in sorted(weight)],
-        "edges": [{"u": u, "v": v} for u, v in sorted(edges)],
+        "edges": [
+            {"u": u, "v": v} for u in sorted(weight) for v in sorted(adj[u]) if u < v
+        ],
     }
 
 
@@ -219,7 +202,6 @@ def eval_redundancy_tree(
     for u, v in rt.edges:
         adj[u].add(v)
         adj[v].add(u)
-    edges = set(rt.edges)
 
     leaves = [v for v in weight if len(adj[v]) == 1]
     if rng is None:
@@ -237,14 +219,13 @@ def eval_redundancy_tree(
         value *= comb(weight[parent], weight[leaf])
         weight[parent] -= weight[leaf]
         adj[parent].discard(leaf)
-        edges.discard(_edge(leaf, parent))
         w_leaf = weight.pop(leaf)
         remaining -= 1
         if trace is not None:
             trace.append(
                 {
                     "stage": "eliminate_leaf",
-                    "structure": _snapshot(weight, edges),
+                    "structure": _snapshot(weight, adj),
                     "binomial": [weight[parent] + w_leaf, w_leaf],
                 }
             )

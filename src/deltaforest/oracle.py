@@ -1,4 +1,4 @@
-"""Independent evaluator by recursive edge cutting.
+"""Independent evaluator by edge cutting from a work stack.
 
 Cross-validates the forest algorithm.  A proper loaded tree is reduced by
 three operations, each justified by an exact identity between the value
@@ -15,9 +15,12 @@ behind:
   multinomial of the center weight over the edge weights.
 
 Every tree with at least three vertices admits a star cut (an edge cut
-producing a star component), so the recursion always bottoms out.
+producing a star component), so the reduction always bottoms out.
 Out-of-range binomial indices mean some side cannot carry a proper tree
-and the value is zero.
+and the value is zero.  ``oracle_eval`` pops one tree at a time from an
+explicit stack and pushes its sides, so depth costs no interpreter
+frames, and live memory is bounded by the pending side trees rather than
+by depth times tree size.
 """
 from __future__ import annotations
 
@@ -59,16 +62,45 @@ def _split_vertices(t: LoadedTree, e: Edge) -> tuple[set, set]:
     return side, set(t.labels) - side
 
 
-def _relabeled(labels: dict) -> tuple[dict, int]:
-    """Map the labels in use onto a contiguous 1..n', preserving order.
+def _cut(
+    t: LoadedTree, e: Edge, pendant: bool
+) -> tuple[tuple[int, int], LoadedTree | None, LoadedTree | None]:
+    """Split t once at e: ((top, bottom), side1, side2), e[0]'s side first.
 
-    Fresh labels are allocated above the old ambient n, so they stay the
-    largest labels after the renaming.
+    With ``pendant``, each side gains a pendant vertex with two fresh
+    labels, joined to the cut endpoint by the multiplicity that makes the
+    side proper, and (top, bottom) = (r-1, |I1|-s1-2) indexes the cut
+    binomial; both sides are None when bottom is out of range.  Without,
+    each cut endpoint gains one fresh label and (top, bottom) = (0, 0).
+    Labels in use are then renamed onto a contiguous 1..n', preserving
+    order, so fresh labels (allocated above the old n) stay the largest.
     """
-    used = sorted(set().union(*labels.values()))
-    mapping = {old: i + 1 for i, old in enumerate(used)}
-    relabeled = {v: frozenset(mapping[x] for x in s) for v, s in labels.items()}
-    return relabeled, len(used)
+    sides = []
+    for endpoint, verts in zip(e, _split_vertices(t, e)):
+        labels = {v: set(t.labels[v]) for v in verts}
+        mult = {
+            edge: m for edge, m in t.multiplicity.items() if edge[0] in verts and edge[1] in verts
+        }
+        # the pendant multiplicity |Ii|-si-1 that makes the side proper
+        slack = sum(map(len, labels.values())) - sum(mult.values()) - 1
+        sides.append((endpoint, labels, mult, slack))
+    binomial = (t.multiplicity[e] - 1, sides[0][3] - 1) if pendant else (0, 0)
+    if not 0 <= binomial[1] <= binomial[0]:
+        return binomial, None, None
+
+    out = []
+    for endpoint, labels, mult, slack in sides:
+        if pendant:
+            vertex = max(t.labels) + 1
+            labels[vertex] = {t.n + 1, t.n + 2}
+            mult[_edge(endpoint, vertex)] = slack
+        else:
+            labels[endpoint].add(t.n + 1)
+        used = sorted(set().union(*labels.values()))
+        rename = {old: i + 1 for i, old in enumerate(used)}
+        labels = {v: [rename[x] for x in s] for v, s in labels.items()}
+        out.append(LoadedTree(len(used), labels, mult))
+    return binomial, out[0], out[1]
 
 
 def single_edge_cut(t: LoadedTree, e: Edge) -> tuple[LoadedTree, LoadedTree]:
@@ -80,18 +112,8 @@ def single_edge_cut(t: LoadedTree, e: Edge) -> tuple[LoadedTree, LoadedTree]:
     e = _edge(*e)
     if t.multiplicity[e] != 1:
         raise NotSingleEdgeError(f"edge {e} has multiplicity {t.multiplicity[e]}")
-    sides = _split_vertices(t, e)
-    fresh = t.n + 1
-    out = []
-    for endpoint, verts in zip(e, sides):
-        labels = {v: set(t.labels[v]) for v in verts}
-        labels[endpoint] = labels[endpoint] | {fresh}
-        labels, n_new = _relabeled(labels)
-        mult = {
-            edge: m for edge, m in t.multiplicity.items() if edge[0] in verts and edge[1] in verts
-        }
-        out.append(LoadedTree(n_new, labels, mult))
-    return out[0], out[1]
+    _, left, right = _cut(t, e, pendant=False)
+    return left, right
 
 
 def multi_edge_cut(
@@ -109,31 +131,8 @@ def multi_edge_cut(
     A degenerate index yields binomial 0 and no side trees: the value of t
     is zero and no proper side trees exist.
     """
-    e = _edge(*e)
-    r = t.multiplicity[e]
-    sides = _split_vertices(t, e)
-    label_count = [sum(len(t.labels[v]) for v in verts) for verts in sides]
-    inner_mult = [
-        sum(m for edge, m in t.multiplicity.items() if edge[0] in verts and edge[1] in verts)
-        for verts in sides
-    ]
-    idx = label_count[0] - inner_mult[0] - 2
-    if idx < 0 or idx > r - 1:
-        return 0, None, None
-    binomial = comb(r - 1, idx)
-
-    out = []
-    for endpoint, verts, size, inner in zip(e, sides, label_count, inner_mult):
-        pendant = max(t.labels) + 1
-        labels = {v: set(t.labels[v]) for v in verts}
-        labels[pendant] = {t.n + 1, t.n + 2}
-        labels, n_new = _relabeled(labels)
-        mult = {
-            edge: m for edge, m in t.multiplicity.items() if edge[0] in verts and edge[1] in verts
-        }
-        mult[_edge(endpoint, pendant)] = size - inner - 1
-        out.append(LoadedTree(n_new, labels, mult))
-    return binomial, out[0], out[1]
+    binomial, left, right = _cut(t, _edge(*e), pendant=True)
+    return (comb(*binomial) if left is not None else 0), left, right
 
 
 def _is_star(adj) -> bool:
@@ -194,11 +193,33 @@ def sun_like_value(t: LoadedTree) -> int:
     return value
 
 
+def _next_cut(t: LoadedTree) -> tuple[str, Edge | None]:
+    """Stage and edge of the rule that reduces a proper tree with edges.
+
+    The edge is None for a sun-like star, which is scored directly.
+    """
+    single = next((e for e in t.edges if t.multiplicity[e] == 1), None)
+    if single is not None:
+        return "single_edge_cut", single
+    adj = t.adjacency()
+    if len(adj) == 2:
+        return "multi_edge_cut", t.edges[0]  # both sides are sun-like
+    for v in t.vertices:
+        if len(adj[v]) == 1 and _vertex_weight(t, v, adj) > 0:
+            return "multi_edge_cut", _edge(v, adj[v][0])
+    # all leaves weigh zero from here on
+    if _is_star(adj):
+        return "sun_like_tree", None
+    return "star_cut", find_star_cut(t)
+
+
 def oracle_eval(t: LoadedTree, *, trace: list | None = None) -> int:
     """Signed value of a proper loaded tree by the cut recursion.
 
-    The recursion tracks absolute values; the sign is (-1) to the edge
-    weight sum, applied once at the top.
+    The work stack holds the side trees still to be reduced; the absolute
+    value is the product of every step's factor, and the sign is (-1) to
+    the edge weight sum.  Trace records come in pre-order: a tree's own
+    record precedes those of its first side, then its second.
     """
     if not t.is_proper:
         raise ValueError(
@@ -206,8 +227,31 @@ def oracle_eval(t: LoadedTree, *, trace: list | None = None) -> int:
             f"{t.total_multiplicity} != n - 3 = {t.n - 3}"
         )
     edge_weight_sum = sum(m - 1 for m in t.multiplicity.values())
-    sign = -1 if edge_weight_sum % 2 else 1
-    return sign * _abs_value(t, trace)
+    value = -1 if edge_weight_sum % 2 else 1
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if t.total_multiplicity != t.n - 3:
+            value = 0
+            continue
+        if not t.multiplicity:
+            continue  # proper and edgeless: exactly three labels, worth 1
+        stage, e = _next_cut(t)
+        if e is None:
+            _record(trace, stage, t)
+            value *= sun_like_value(t)
+            continue
+        pendant = stage != "single_edge_cut"
+        binomial, left, right = _cut(t, e, pendant)
+        _record(trace, stage, t, binomial)
+        if left is None:
+            value = 0
+        elif pendant and len(t.labels) == 2:
+            value *= comb(*binomial) * sun_like_value(left) * sun_like_value(right)
+        else:
+            value *= comb(*binomial)
+            stack += (right, left)
+    return value
 
 
 def _record(trace, stage, t, binomial=None):
@@ -216,65 +260,3 @@ def _record(trace, stage, t, binomial=None):
         if binomial is not None:
             rec["binomial"] = list(binomial)
         trace.append(rec)
-
-
-def _abs_value(t: LoadedTree, trace: list | None) -> int:
-    if t.total_multiplicity != t.n - 3:
-        return 0
-    if not t.multiplicity:
-        return 1  # proper and edgeless: exactly three labels
-
-    single = next((e for e in t.edges if t.multiplicity[e] == 1), None)
-    if single is not None:
-        left, right = single_edge_cut(t, single)
-        _record(trace, "single_edge_cut", t, (0, 0))
-        return _abs_value(left, trace) * _abs_value(right, trace)
-
-    adj = t.adjacency()
-    if len(adj) == 2:
-        # one multi-edge cut leaves two sun-like trees
-        binomial, left, right = multi_edge_cut(t, t.edges[0])
-        _record(trace, "multi_edge_cut", t, _binomial_args(t, t.edges[0]))
-        if binomial == 0:
-            return 0
-        return binomial * sun_like_value(left) * sun_like_value(right)
-
-    heavy_leaf = next(
-        (
-            v
-            for v in t.vertices
-            if len(adj[v]) == 1 and _vertex_weight(t, v, adj) > 0
-        ),
-        None,
-    )
-    if heavy_leaf is not None:
-        e = _edge(heavy_leaf, adj[heavy_leaf][0])
-        binomial, left, right = multi_edge_cut(t, e)
-        _record(trace, "multi_edge_cut", t, _binomial_args(t, e))
-        if binomial == 0:
-            return 0
-        return binomial * _abs_value(left, trace) * _abs_value(right, trace)
-
-    # all leaves weigh zero from here on
-    if _is_star(adj):
-        _record(trace, "sun_like_tree", t)
-        return sun_like_value(t)
-
-    e = find_star_cut(t)
-    binomial, left, right = multi_edge_cut(t, e)
-    _record(trace, "star_cut", t, _binomial_args(t, e))
-    if binomial == 0:
-        return 0
-    return binomial * _abs_value(left, trace) * _abs_value(right, trace)
-
-
-def _binomial_args(t: LoadedTree, e: Edge) -> tuple[int, int]:
-    """(top, bottom) of the cut binomial, for trace records."""
-    sides = _split_vertices(t, e)
-    size = sum(len(t.labels[v]) for v in sides[0])
-    inner = sum(
-        m
-        for edge, m in t.multiplicity.items()
-        if edge[0] in sides[0] and edge[1] in sides[0]
-    )
-    return t.multiplicity[e] - 1, size - inner - 2

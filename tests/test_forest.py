@@ -23,7 +23,6 @@ from deltaforest import (
     to_weighted,
     tree_to_monomial,
 )
-from deltaforest.forest import FROM_EDGE, FROM_LEAF_VERTEX, FROM_VERTEX
 from deltaforest.trees import _random_proper_tree, _tree_from_pruefer
 from conftest import (
     EXAMPLE9_TEXT,
@@ -87,11 +86,6 @@ class TestToRedundancy:
         rt = to_redundancy(to_weighted(t))
         assert sorted(rt.weight.items()) == [(0, 1), (1, 1), (2, 2)]
         assert rt.edges == {(0, 2), (1, 2)}
-        assert rt.origin == {
-            0: FROM_LEAF_VERTEX,
-            1: FROM_LEAF_VERTEX,
-            2: FROM_EDGE,
-        }
 
     def test_nine_label_example(self):
         rt = to_redundancy(to_weighted(example9_tree()))
@@ -107,13 +101,6 @@ class TestToRedundancy:
             rt = to_redundancy(wt)
             assert len(rt.weight) == len(wt.vertex_weight) + len(wt.edge_weight)
             assert len(rt.edges) == 2 * len(wt.edge_weight)
-            assert sum(1 for o in rt.origin.values() if o == FROM_EDGE) == len(
-                wt.edge_weight
-            )
-
-    def test_interior_vertex_tagged(self):
-        rt = to_redundancy(to_weighted(example9_tree()))
-        assert rt.origin[2] == FROM_VERTEX  # the unlabeled center
 
 
 class TestPrune:

@@ -318,7 +318,51 @@ class TestOracleEval:
         trace = []
         value = oracle_eval(fixture14_tree(), trace=trace)
         assert value == -32
-        stages = {r["stage"] for r in trace}
-        assert "single_edge_cut" in stages
-        assert "multi_edge_cut" in stages
+        # pre-order: each tree's record, then its first side's, then its second's
+        assert [(r["stage"], r.get("binomial")) for r in trace] == [
+            ("single_edge_cut", [0, 0]),
+            ("multi_edge_cut", [4, 1]),
+            ("multi_edge_cut", [1, 1]),
+            ("multi_edge_cut", [2, 1]),
+            ("sun_like_tree", None),
+            ("multi_edge_cut", [1, 1]),
+            ("multi_edge_cut", [1, 1]),
+        ]
         assert all("structure" in r for r in trace)
+
+    def test_deep_path_under_small_recursion_limit(self):
+        # one cut per edge: a recursive oracle would need ~200 frames
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import deltaforest
+
+        script = """
+import sys
+from deltaforest import LoadedTree, cli, eval_loaded_tree, oracle_eval
+from deltaforest import render_monomial, tree_to_monomial
+sys.setrecursionlimit(120)
+k = 200
+labels = {v: {2 * v + 1, 2 * v + 2} for v in range(k)}
+labels[0].add(2 * k + 1)
+t = LoadedTree(2 * k + 1, labels, {(v, v + 1): 2 for v in range(k - 1)})
+assert t.is_proper
+value = eval_loaded_tree(t)
+assert oracle_eval(t) == value != 0
+print(value)
+sys.exit(cli.main(["oracle", "--plain", render_monomial(tree_to_monomial(t))]))
+"""
+        src = str(Path(deltaforest.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        forest_value, cli_value = done.stdout.split()
+        assert cli_value == forest_value
