@@ -5,6 +5,9 @@ Subcommands: ``eval`` (forest algorithm), ``oracle`` (cut recursion),
 monomials).  Reports are single JSON objects with fixed field order and
 values serialized as decimal strings; ``--plain`` prints the bare
 integer.  Exit codes: 0 ok, 2 input error, 3 evaluator disagreement.
+Under ``--stdin`` every input line gets one output line, in order: its
+report, or an error record for a line with an input error, after which
+the run goes on (exit 2 at the end); a disagreement stops the run.
 """
 from __future__ import annotations
 
@@ -70,10 +73,12 @@ def _report(text: str, *, use_oracle: bool, check_oracle: bool, trace: bool) -> 
 
 
 def _emit(report: dict, plain: bool):
-    if plain:
-        print(report["value"])
-    else:
+    if not plain:
         print(json.dumps(report))
+    elif "error" in report:
+        print(f"error: {report['error']}")
+    else:
+        print(report["value"])
 
 
 def _iter_inputs(args) -> list[str]:
@@ -89,21 +94,30 @@ def _iter_inputs(args) -> list[str]:
 
 def _cmd_eval(args, use_oracle: bool) -> int:
     try:
-        for text in _iter_inputs(args):
+        texts = _iter_inputs(args)
+    except (ParseError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    code = EXIT_OK
+    for text in texts:
+        try:
             report = _report(
                 text,
                 use_oracle=use_oracle,
                 check_oracle=getattr(args, "oracle", False),
                 trace=args.trace,
             )
-            _emit(report, args.plain)
-    except (ParseError, CrossingFactorsError, EmptyNonTrivialError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except _Disagreement as err:
-        print(f"disagreement: {err}", file=sys.stderr)
-        return EXIT_DISAGREE
-    return EXIT_OK
+        except (ParseError, CrossingFactorsError, EmptyNonTrivialError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            if not args.stdin:
+                return EXIT_INPUT
+            code = EXIT_INPUT
+            report = {"input": text, "error": str(err), "position": getattr(err, "position", None)}
+        except _Disagreement as err:
+            print(f"disagreement: {err}", file=sys.stderr)
+            return EXIT_DISAGREE
+        _emit(report, args.plain)
+    return code
 
 
 def _cmd_tree(args) -> int:

@@ -5,15 +5,20 @@
     factor  := "d(" part "|" part ")" ("^" INT)?
     part    := INT ("," INT)*
 
-Whitespace is ignored between tokens.  Example::
+INT is a run of decimal digits.  Whitespace is ignored between tokens.
+Example::
 
     n=9; d(1,2,3|4,5,6,7,8,9)^3 * d(1,2,3,4,5|6,7,8,9)
 
+The parser reads each token, and each whole part, with one regular
+expression match; a :class:`ParseError` points at the offending token.
 Repeated occurrences of the same cut accumulate exponents.  Rendering is
 canonical (factors sorted, exponent 1 omitted), so parse and render are
 mutually inverse on canonical text.
 """
 from __future__ import annotations
+
+import re
 
 from .model import InvalidCutError, Monomial, canonicalize_cut
 
@@ -26,42 +31,31 @@ class ParseError(ValueError):
         self.position = position
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# Each pattern reads the whitespace before its first token.  A part, or an
+# exponent, is group 1; group 2 is a separator after it (',' or '^') that
+# no integer follows.
+_PART = r"\s*(\d+(?:\s*,\s*\d+)*)(\s*,)?"
+_SPACE = re.compile(r"\s*").match
+_HEAD = re.compile(r"\s*n\s*=\s*(\d+)").match
+_SEMI = re.compile(r"\s*;").match
+_ONE = re.compile(r"\s*1").match
+_OPEN = re.compile(r"\s*d\s*\(" + _PART).match
+_BAR = re.compile(r"\s*\|" + _PART).match
+_CLOSE = re.compile(r"\s*\)(?:\s*\^\s*(\d+)|(\s*\^))?").match
+_STAR = re.compile(r"\s*\*").match
+_INT = re.compile(r"\d+")
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def eat(self, literal: str) -> bool:
-        if self.peek() == literal:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, literal: str):
-        if not self.eat(literal):
-            raise ParseError(f"expected '{literal}'", self.pos)
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
-
-    def end(self):
-        self.skip_ws()
-        if self.pos < len(self.text):
-            raise ParseError("unexpected trailing input", self.pos)
+def _reject(text: str, pos: int, literals: str):
+    """Raise for text at ``pos`` that a pattern reading ``literals`` did not
+    match: at the first literal missing, else at the integer that the
+    pattern reads after them."""
+    for literal in literals:
+        pos = _SPACE(text, pos).end()
+        if not text.startswith(literal, pos):
+            raise ParseError(f"expected '{literal}'", pos)
+        pos += 1
+    raise ParseError("expected an integer", _SPACE(text, pos).end())
 
 
 def parse_monomial(text: str) -> Monomial:
@@ -70,66 +64,67 @@ def parse_monomial(text: str) -> Monomial:
     Degree is not checked here; monomials of any degree parse and are left
     to :func:`~deltaforest.model.classify`.
     """
-    s = _Scanner(text)
-    s.expect("n")
-    s.expect("=")
-    n_pos = s.pos
-    n = s.integer()
+    m = _HEAD(text) or _reject(text, 0, "n=")
+    n = int(m[1])
     if n < 1:
-        raise ParseError("n must be positive", n_pos)
-    s.expect(";")
+        raise ParseError("n must be positive", m.start(1))
+    pos = (_SEMI(text, m.end()) or _reject(text, m.end(), ";")).end()
 
     factors: list[tuple] = []
-    if s.peek() == "1":
-        s.eat("1")
+    one = _ONE(text, pos)
+    if one:
+        pos = one.end()
     else:
-        factors.append(_factor(s, n))
-        while s.eat("*"):
-            factors.append(_factor(s, n))
-    s.end()
+        while True:
+            cut, exponent, pos = _factor(text, pos, n)
+            factors.append((cut, exponent))
+            star = _STAR(text, pos)
+            if not star:
+                break
+            pos = star.end()
+    pos = _SPACE(text, pos).end()
+    if pos < len(text):
+        raise ParseError("unexpected trailing input", pos)
     return Monomial(n, factors)
 
 
-def _factor(s: _Scanner, n: int):
-    s.skip_ws()
-    start = s.pos
-    s.expect("d")
-    s.expect("(")
-    part_a = _part(s, n)
-    s.expect("|")
-    part_b = _part(s, n)
-    s.expect(")")
-    exponent = 1
-    if s.eat("^"):
-        s.skip_ws()
-        exp_pos = s.pos
-        exponent = s.integer()
-        if exponent < 1:
-            raise ParseError("exponent must be positive", exp_pos)
+def _factor(text: str, pos: int, n: int) -> tuple:
+    """The cut and exponent of the factor at ``pos``, and where it ends."""
+    m = _OPEN(text, pos) or _reject(text, pos, "d(")
+    part_a = _part(text, m, n)
+    m = _BAR(text, m.end()) or _reject(text, m.end(), "|")
+    part_b = _part(text, m, n)
+    m = _CLOSE(text, m.end()) or _reject(text, m.end(), ")")
+    if m[2]:
+        raise ParseError("expected an integer", _SPACE(text, m.end()).end())
+    exponent = int(m[1] or 1)
+    if exponent < 1:
+        raise ParseError("exponent must be positive", m.start(1))
     try:
         cut = canonicalize_cut(part_a, part_b, n)
     except InvalidCutError as err:
-        raise ParseError(str(err), start) from err
-    return cut, exponent
+        raise ParseError(str(err), _SPACE(text, pos).end()) from err
+    return cut, exponent, m.end()
 
 
-def _part(s: _Scanner, n: int) -> frozenset:
-    s.skip_ws()
-    start = s.pos
-    labels = set()
-    while True:
-        label_pos = s.pos
-        label = s.integer()
-        if not 1 <= label <= n:
-            raise ParseError(f"label {label} outside 1..{n}", label_pos)
-        if label in labels:
-            raise ParseError(f"duplicate label {label} in part", label_pos)
-        labels.add(label)
-        if not s.eat(","):
-            break
-    if len(labels) < 2:
-        raise ParseError("a part needs at least 2 labels", start)
-    return frozenset(labels)
+def _part(text: str, m: re.Match, n: int) -> frozenset:
+    """The labels of the part ``m`` matched, checked in reading order."""
+    start, end = m.span(1)
+    labels = _INT.findall(text, start, end)
+    part = frozenset(map(int, labels))
+    if 2 <= len(part) == len(labels) and min(part) >= 1 and max(part) <= n and not m[2]:
+        return part
+    seen = set()
+    for label in _INT.finditer(text, start, end):
+        value = int(label[0])
+        if not 1 <= value <= n:
+            raise ParseError(f"label {value} outside 1..{n}", label.start())
+        if value in seen:
+            raise ParseError(f"duplicate label {value} in part", label.start())
+        seen.add(value)
+    if m[2]:
+        raise ParseError("expected an integer", _SPACE(text, m.end()).end())
+    raise ParseError("a part needs at least 2 labels", start)
 
 
 def render_monomial(m: Monomial) -> str:

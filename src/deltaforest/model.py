@@ -83,7 +83,9 @@ def canonicalize_cut(part_a: Iterable[int], part_b: Iterable[int], n: int) -> Cu
         )
     if a & b:
         raise NotAPartitionError(f"parts overlap in {sorted(a & b)}")
-    if a | b != frozenset(range(1, n + 1)):
+    # n distinct integers from 1 to n are all of {1..n}; no need to build it.
+    union = a | b
+    if len(union) != n or min(union) != 1 or max(union) != n:
         raise NotAPartitionError(f"parts do not partition {{1..{n}}}")
     if 1 in a:
         return Cut(a, b, n)

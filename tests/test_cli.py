@@ -1,11 +1,22 @@
 """Command-line interface: reports, exit codes, determinism."""
 import io
 import json
+import os
 from decimal import Decimal
 from math import comb
+from pathlib import Path
 
+import deltaforest
 from deltaforest.cli import main
 from conftest import EXAMPLE9_TEXT, KEEL_TEXT
+
+
+def child_env() -> dict:
+    """The environment with this ``deltaforest`` on PYTHONPATH, so a child
+    interpreter imports it even when the package is not installed."""
+    src = str(Path(deltaforest.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def run(capsys, *argv):
@@ -69,6 +80,71 @@ class TestEval:
         values = [json.loads(line)["value"] for line in out.splitlines()]
         assert values == ["0", "1", "2"]
 
+    def test_stdin_bad_lines_do_not_stop_the_batch(self, capsys, monkeypatch):
+        lines = "n=3; 1\nn=5; d(1|2,3,4,5)\n\n" + f"{KEEL_TEXT}\nn=5; d(1,2|3,4,5)^0\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        code, out, err = run(capsys, "eval", "--stdin")
+        assert code == 2
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert [r.get("value") for r in reports] == ["1", None, "0", None]
+        assert reports[1] == {
+            "input": "n=5; d(1|2,3,4,5)",
+            "error": "a part needs at least 2 labels (at position 7)",
+            "position": 7,
+        }
+        assert reports[3]["position"] == 18
+        assert err.count("error:") == 2
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        code, out, _ = run(capsys, "eval", "--stdin", "--plain")
+        assert code == 2
+        assert out.splitlines() == [
+            "1",
+            "error: a part needs at least 2 labels (at position 7)",
+            "0",
+            "error: exponent must be positive (at position 18)",
+        ]
+
+    def test_stdin_disagreement_stops_the_batch(self, capsys, monkeypatch):
+        import deltaforest.cli as cli
+
+        monkeypatch.setattr(cli, "oracle_eval", lambda t, **kw: 999)
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{KEEL_TEXT}\n{EXAMPLE9_TEXT}\n{KEEL_TEXT}\n"))
+        code, out, err = run(capsys, "eval", "--stdin", "--oracle")
+        assert code == 3
+        assert len(out.splitlines()) == 1
+        assert "disagreement" in err
+
+    def test_digit_that_int_rejects_exits_2(self, capsys):
+        # the superscript two passes str.isdigit but not int()
+        code, out, err = run(capsys, "eval", "n=5; d(1,2|3,4,5)^\u00b2")
+        assert code == 2
+        assert out == ""
+        assert "expected an integer (at position 18)" in err
+
+    def test_huge_n_fails_without_building_the_label_set(self):
+        import subprocess
+        import sys
+
+        # Under a 1 GB address-space limit, building {1..n} for n = 10**12
+        # raises MemoryError; checking the parts' union needs only its size.
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from deltaforest.cli import main\n"
+            "sys.exit(main(['eval', 'n=1000000000000; d(1,2|3,4)']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "do not partition" in proc.stderr
+
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text(EXAMPLE9_TEXT + "\n")
@@ -100,8 +176,8 @@ class TestSubprocess:
         import sys
 
         cmd = [sys.executable, "-m", "deltaforest.cli", "eval", EXAMPLE9_TEXT]
-        first = subprocess.run(cmd, capture_output=True, text=True)
-        second = subprocess.run(cmd, capture_output=True, text=True)
+        first = subprocess.run(cmd, capture_output=True, text=True, env=child_env())
+        second = subprocess.run(cmd, capture_output=True, text=True, env=child_env())
         assert first.returncode == 0
         assert first.stdout == second.stdout  # byte-identical across runs
         assert json.loads(first.stdout)["value"] == "2"

@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaforest import (
     Cut,
@@ -68,12 +70,53 @@ class TestParse:
             ("n=5; d(1,2|3,4,5) ^ 0", 20),   # zero exponent
             ("n=5; d(1,2|3,4,5) junk", 18),  # trailing input
             ("x=5; 1", 0),                   # missing header
+            ("n 5; 1", 2),                   # expected '='
+            (" n \t5; 1", 4),
+            ("n=5 d(1,2|3,4,5)", 4),         # expected ';'
+            ("n = 5 \n d(1,2|3,4,5)", 8),
+            ("n=5; (1,2|3,4,5)", 5),         # expected 'd'
+            ("n=5;\t(1,2|3,4,5)", 5),
+            ("n=5; d1,2|3,4,5)", 6),         # expected '('
+            ("n=5; d \t1,2|3,4,5)", 8),
+            ("n=5; d(1,2,3,4,5)", 16),       # expected '|'
+            ("n=5; d(1,2 ,3,4,5 )", 18),
+            ("n=5; d(1,2|3,4,5)^\u00b2", 18),  # expected an integer: not a decimal digit
+            ("n=5; d(1,2|3,4,5) ^\n \u00b2", 21),
+            ("n=5; d(1,2,|3,4,5)", 11),      # expected an integer after a comma
+            ("n=5; d(1,2, \t|3,4,5)", 13),
+            ("n=0; 1", 2),                   # n must be positive
+            ("n= 0; 1", 3),
+            ("n=5; d(1,2,3|3,4,5)", 5),      # parts overlap
+            (" n=5 ;  d(1,2,3|3,4,5)", 8),
+            ("n=5; d(1, 9|3,4,5,2)", 10),    # positions point at the number,
+            ("n=5; d(1,2|3, 3,4,5)", 14),    # not at the whitespace before it
+            ("n=5; d(1,2| 9,4,5)", 12),
         ],
     )
     def test_errors_carry_position(self, text, where):
         with pytest.raises(ParseError) as err:
             parse_monomial(text)
         assert err.value.position == where
+
+    def test_non_ascii_decimal_digits(self):
+        # \d and int() agree on every Unicode decimal digit
+        m = parse_monomial("n=\u0665; d(1,2|3,4,5)")
+        assert m == parse_monomial("n=5; d(1,2|3,4,5)")
+
+    @settings(max_examples=200)
+    @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=3, max_value=16))
+    def test_whitespace_between_tokens(self, seed, n):
+        rng = random.Random(seed)
+        m = tree_to_monomial(_random_proper_tree(n, rng))
+        text = render_monomial(m)
+        spaced = []
+        for i, ch in enumerate(text):
+            # between two tokens: anywhere except inside a number
+            if not (ch.isdigit() and text[i - 1 : i].isdigit()) and rng.random() < 0.3:
+                spaced.append("".join(rng.choices(" \t\n", k=rng.randint(1, 3))))
+            spaced.append(ch)
+        spaced.append(rng.choice(["", " ", "\n", "\t "]))
+        assert parse_monomial("".join(spaced)) == m
 
 
 class TestRender:
