@@ -85,7 +85,8 @@ def _iter_inputs(args) -> list[str]:
     if args.stdin:
         return [line for line in sys.stdin.read().splitlines() if line.strip()]
     if args.file is not None:
-        with open(args.file, "r", encoding="utf-8") as fh:
+        # undecodable bytes become surrogates, which no token matches
+        with open(args.file, encoding="utf-8", errors="surrogateescape") as fh:
             return [fh.read()]
     if args.expr is None:
         raise ParseError("no expression given (pass EXPR, --file, or --stdin)", 0)

@@ -5,8 +5,8 @@
     factor  := "d(" part "|" part ")" ("^" INT)?
     part    := INT ("," INT)*
 
-INT is a run of decimal digits.  Whitespace is ignored between tokens.
-Example::
+INT is a run of at most 4300 decimal digits.  Whitespace is ignored
+between tokens.  Example::
 
     n=9; d(1,2,3|4,5,6,7,8,9)^3 * d(1,2,3,4,5|6,7,8,9)
 
@@ -44,6 +44,15 @@ _BAR = re.compile(r"\s*\|" + _PART).match
 _CLOSE = re.compile(r"\s*\)(?:\s*\^\s*(\d+)|(\s*\^))?").match
 _STAR = re.compile(r"\s*\*").match
 _INT = re.compile(r"\d+")
+_MAX_DIGITS = 4300  # the interpreter's default limit on int() of a digit string
+
+
+def _int(text: str, start: int, end: int) -> int:
+    """The run of digits text[start:end], checked for length before ``int``
+    reads it."""
+    if end - start > _MAX_DIGITS:
+        raise ParseError(f"integer longer than {_MAX_DIGITS} digits", start)
+    return int(text[start:end])
 
 
 def _reject(text: str, pos: int, literals: str):
@@ -65,7 +74,7 @@ def parse_monomial(text: str) -> Monomial:
     to :func:`~deltaforest.model.classify`.
     """
     m = _HEAD(text) or _reject(text, 0, "n=")
-    n = int(m[1])
+    n = _int(text, *m.span(1))
     if n < 1:
         raise ParseError("n must be positive", m.start(1))
     pos = (_SEMI(text, m.end()) or _reject(text, m.end(), ";")).end()
@@ -97,7 +106,7 @@ def _factor(text: str, pos: int, n: int) -> tuple:
     m = _CLOSE(text, m.end()) or _reject(text, m.end(), ")")
     if m[2]:
         raise ParseError("expected an integer", _SPACE(text, m.end()).end())
-    exponent = int(m[1] or 1)
+    exponent = _int(text, *m.span(1)) if m[1] else 1
     if exponent < 1:
         raise ParseError("exponent must be positive", m.start(1))
     try:
@@ -111,12 +120,15 @@ def _part(text: str, m: re.Match, n: int) -> frozenset:
     """The labels of the part ``m`` matched, checked in reading order."""
     start, end = m.span(1)
     labels = _INT.findall(text, start, end)
-    part = frozenset(map(int, labels))
+    try:
+        part = frozenset(map(int, labels))
+    except ValueError:  # a label too long for int(); reported below
+        part = frozenset()
     if 2 <= len(part) == len(labels) and min(part) >= 1 and max(part) <= n and not m[2]:
         return part
     seen = set()
     for label in _INT.finditer(text, start, end):
-        value = int(label[0])
+        value = _int(text, *label.span())
         if not 1 <= value <= n:
             raise ParseError(f"label {value} outside 1..{n}", label.start())
         if value in seen:

@@ -17,13 +17,25 @@ behind:
 Every tree with at least three vertices admits a star cut (an edge cut
 producing a star component), so the reduction always bottoms out.
 Out-of-range binomial indices mean some side cannot carry a proper tree
-and the value is zero.  ``oracle_eval`` pops one tree at a time from an
-explicit stack and pushes its sides, so depth costs no interpreter
-frames, and live memory is bounded by the pending side trees rather than
-by depth times tree size.
+and the value is zero.
+
+``single_edge_cut`` and ``multi_edge_cut`` build their sides as new
+``LoadedTree``s.  ``oracle_eval`` instead reads only label counts and
+multiplicities, so it builds one count-only forest from its input and
+cuts it in place: per vertex a neighbour -> multiplicity map and a label
+count, per component its vertex set, its totals and lazy heaps that give
+each rule's candidate in the order the rules ask for.  A cut walks both
+sides one edge at a time in turn until the smaller is exhausted, moves
+that side to a new component and finds the other's totals by
+subtraction, so each cut costs the smaller side, not the tree.  It pops
+one component at a time from an explicit stack and pushes the sides, so
+depth costs no interpreter frames.  Pendant vertices take ids above
+every id in use, which keeps the order of the ids in each component, and
+so the cuts, those of the ``LoadedTree`` cuts.
 """
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import comb
 
 from .trees import Edge, LoadedTree, _edge
@@ -193,33 +205,186 @@ def sun_like_value(t: LoadedTree) -> int:
     return value
 
 
-def _next_cut(t: LoadedTree) -> tuple[str, Edge | None]:
-    """Stage and edge of the rule that reduces a proper tree with edges.
 
-    The edge is None for a sun-like star, which is scored directly.
+
+
+class _Component:
+    """One tree of the forest: its vertices, its label and multiplicity
+    totals, and lazy heaps of the candidates for the first three cut rules
+    (multiplicity-1 edges, leaves of positive weight, star-cut centers)."""
+
+    __slots__ = ("vertices", "labels", "mult", "singles", "leaves", "stars")
+
+    def __init__(self, vertices: set, labels: int, mult: int):
+        self.vertices, self.labels, self.mult = vertices, labels, mult
+        self.singles, self.leaves, self.stars = [], [], []
+
+
+def _top(heap: list, valid):
+    """The smallest entry of a lazy heap that is still valid, or None."""
+    while heap and not valid(heap[0]):
+        heappop(heap)
+    return heap[0] if heap else None
+
+
+class _Forest:
+    """Count-only forest that ``oracle_eval`` cuts in place.
+
+    Per vertex it keeps a neighbour -> multiplicity map, a label count and
+    the number of neighbours of degree >= 2.  Heap entries are checked when
+    they reach the top, so a vertex is pushed again whenever it may have
+    become a candidate, and stale entries are dropped on the way.
     """
-    single = next((e for e in t.edges if t.multiplicity[e] == 1), None)
-    if single is not None:
-        return "single_edge_cut", single
-    adj = t.adjacency()
-    if len(adj) == 2:
-        return "multi_edge_cut", t.edges[0]  # both sides are sun-like
-    for v in t.vertices:
-        if len(adj[v]) == 1 and _vertex_weight(t, v, adj) > 0:
-            return "multi_edge_cut", _edge(v, adj[v][0])
-    # all leaves weigh zero from here on
-    if _is_star(adj):
-        return "sun_like_tree", None
-    return "star_cut", find_star_cut(t)
+
+    def __init__(self, t: LoadedTree):
+        self.nbr = {v: {} for v in t.labels}
+        for (u, v), m in t.multiplicity.items():
+            self.nbr[u][v] = self.nbr[v][u] = m
+        self.count = {v: len(s) for v, s in t.labels.items()}
+        self.big = {v: sum(len(self.nbr[w]) >= 2 for w in nb) for v, nb in self.nbr.items()}
+        self.fresh = max(t.labels, default=-1) + 1  # pendant ids, above every id in use
+
+    def component(self, vertices: set, labels: int, mult: int) -> _Component:
+        """A component of the given vertices and totals, its heaps filled."""
+        c = _Component(vertices, labels, mult)
+        for v in vertices:
+            self.push(c, v)
+            c.singles += ((v, w) for w, m in self.nbr[v].items() if m == 1 and v < w)
+        heapify(c.singles)
+        return c
+
+    def heavy_leaf(self, v: int) -> bool:
+        return len(self.nbr[v]) == 1 and self.count[v] >= 3
+
+    def star_center(self, v: int) -> bool:
+        """Whether cutting v off its one neighbour of degree >= 2 leaves a
+        star: v and its leaves."""
+        return len(self.nbr[v]) >= 2 and self.big[v] == 1
+
+    def push(self, c: _Component, v: int):
+        """Queue v in c's heaps for the rules whose condition it meets."""
+        if self.heavy_leaf(v):
+            heappush(c.leaves, v)
+        elif self.star_center(v):
+            heappush(c.stars, v)
+
+    def next_cut(self, c: _Component) -> tuple[str, Edge | None]:
+        """Stage and edge of the rule that reduces c, a proper tree with
+        edges; the edge is None for a sun-like star, which is scored
+        directly."""
+        nbr, inside = self.nbr, c.vertices
+        single = _top(c.singles, lambda e: e[0] in inside and nbr[e[0]].get(e[1]) == 1)
+        if single is not None:
+            return "single_edge_cut", single
+        if len(inside) == 2:
+            return "multi_edge_cut", tuple(sorted(inside))  # both sides are sun-like
+        leaf = _top(c.leaves, lambda v: v in inside and self.heavy_leaf(v))
+        if leaf is not None:
+            return "multi_edge_cut", _edge(leaf, *nbr[leaf])
+        # all leaves weigh zero from here on, and only a star has no center
+        center = _top(c.stars, lambda v: v in inside and self.star_center(v))
+        if center is None:
+            return "sun_like_tree", None
+        return "star_cut", _edge(center, next(w for w in nbr[center] if len(nbr[w]) >= 2))
+
+    def sun_like_value(self, c: _Component) -> int:
+        """Multinomial of the center weight over the edge weights of a star
+        whose leaves weigh zero; in a proper star the two sums agree."""
+        value, total = 1, 0
+        for v in c.vertices:
+            if len(self.nbr[v]) == 1:
+                (m,) = self.nbr[v].values()
+                total += m - 1
+                value *= comb(total, m - 1)
+        return value
+
+    def _smaller_side(self, a: int, b: int) -> tuple[set, bool]:
+        """The vertex set of the side of the removed edge (a, b) that a walk
+        of both sides, one edge of each in turn, exhausts first, and
+        whether it is a's side."""
+        nbr = self.nbr
+        walks = [({a}, [iter(nbr[a])]), ({b}, [iter(nbr[b])])]
+        while True:
+            for seen, stack in walks:
+                for w in stack[-1]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(iter(nbr[w]))
+                    break
+                else:
+                    stack.pop()
+                    if not stack:
+                        return seen, a in seen
+
+    def cut(self, c: _Component, a: int, b: int, pendant: bool):
+        """Cut c at the edge (a, b), a < b, as ``_cut`` does: ((top, bottom),
+        sides), a's component first.
+
+        ``sides`` is empty when bottom is out of range, and when c has two
+        vertices, whose sides are sun-like and worth 1.  The smaller side
+        moves to a new component; the other keeps c, with its totals
+        found by subtraction.
+        """
+        nbr, count, big = self.nbr, self.count, self.big
+        r = nbr[a][b]
+        if pendant and len(c.vertices) == 2:
+            return (r - 1, count[a] - 2), ()
+        del nbr[a][b], nbr[b][a]
+        small, small_is_a = self._smaller_side(a, b)
+        moved = (sum(count[v] for v in small), sum(sum(nbr[v].values()) for v in small) // 2)
+        kept = (c.labels - moved[0], c.mult - r - moved[1])
+        totals = (moved, kept) if small_is_a else (kept, moved)
+        # the pendant multiplicity |Ii|-si-1 that makes each side proper
+        slack = [labels - mult - 1 for labels, mult in totals]
+        binomial = (r - 1, slack[0] - 1) if pendant else (0, 0)
+        if not 0 <= binomial[1] <= binomial[0]:
+            return binomial, ()
+
+        c.vertices -= small
+        degree = (len(nbr[a]) + 1, len(nbr[b]) + 1)
+        sides = []
+        for i, u in enumerate((a, b)):
+            vertices = small if (i == 0) == small_is_a else c.vertices
+            labels, mult = totals[i]
+            big[u] -= degree[1 - i] >= 2
+            touched = [u]
+            if pendant:
+                p = self.fresh
+                self.fresh += 1
+                nbr[u][p] = slack[i]
+                nbr[p] = {u: slack[i]}
+                count[p] = 2
+                big[p] = int(degree[i] >= 2)
+                vertices.add(p)
+                labels, mult = labels + 2, mult + slack[i]
+            else:
+                count[u] += 1
+                labels += 1
+                if degree[i] == 2:  # u became a leaf
+                    (x,) = nbr[u]
+                    big[x] -= 1
+                    touched.append(x)
+            if vertices is small:
+                sides.append(self.component(small, labels, mult))
+                continue
+            c.labels, c.mult = labels, mult
+            for v in touched:
+                self.push(c, v)
+            if pendant and slack[i] == 1:
+                heappush(c.singles, (u, p))
+            sides.append(c)
+        return binomial, sides
 
 
 def oracle_eval(t: LoadedTree, *, trace: list | None = None) -> int:
     """Signed value of a proper loaded tree by the cut recursion.
 
-    The work stack holds the side trees still to be reduced; the absolute
+    The work stack holds the components still to be reduced; the absolute
     value is the product of every step's factor, and the sign is (-1) to
     the edge weight sum.  Trace records come in pre-order: a tree's own
-    record precedes those of its first side, then its second.
+    record precedes those of its first side, then its second.  Each is
+    ``{"stage", "vertices", "labels", "binomial"}``, with the counts of
+    the tree reduced and the binomial's (top, bottom) on cuts only.
     """
     if not t.is_proper:
         raise ValueError(
@@ -228,35 +393,27 @@ def oracle_eval(t: LoadedTree, *, trace: list | None = None) -> int:
         )
     edge_weight_sum = sum(m - 1 for m in t.multiplicity.values())
     value = -1 if edge_weight_sum % 2 else 1
-    stack = [t]
+    forest = _Forest(t)
+    stack = [forest.component(set(t.labels), t.n, t.total_multiplicity)]
     while stack:
-        t = stack.pop()
-        if t.total_multiplicity != t.n - 3:
+        c = stack.pop()
+        if c.mult != c.labels - 3:
             value = 0
             continue
-        if not t.multiplicity:
+        if len(c.vertices) < 2:
             continue  # proper and edgeless: exactly three labels, worth 1
-        stage, e = _next_cut(t)
+        stage, e = forest.next_cut(c)
+        if trace is not None:
+            trace.append({"stage": stage, "vertices": len(c.vertices), "labels": c.labels})
         if e is None:
-            _record(trace, stage, t)
-            value *= sun_like_value(t)
+            value *= forest.sun_like_value(c)
             continue
-        pendant = stage != "single_edge_cut"
-        binomial, left, right = _cut(t, e, pendant)
-        _record(trace, stage, t, binomial)
-        if left is None:
-            value = 0
-        elif pendant and len(t.labels) == 2:
-            value *= comb(*binomial) * sun_like_value(left) * sun_like_value(right)
-        else:
+        binomial, sides = forest.cut(c, *e, pendant=stage != "single_edge_cut")
+        if trace is not None:
+            trace[-1]["binomial"] = list(binomial)
+        if 0 <= binomial[1] <= binomial[0]:
             value *= comb(*binomial)
-            stack += (right, left)
+            stack += reversed(sides)
+        else:
+            value = 0
     return value
-
-
-def _record(trace, stage, t, binomial=None):
-    if trace is not None:
-        rec = {"stage": stage, "structure": t.to_json()}
-        if binomial is not None:
-            rec["binomial"] = list(binomial)
-        trace.append(rec)

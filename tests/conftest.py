@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import itertools
+import os
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import deltaforest
 from deltaforest import LoadedTree, RedundancyTree
 
 # Four-factor monomial over nine labels whose tree has five vertices.
@@ -100,3 +103,11 @@ def all_cuts(n: int):
                 seen.add(cut)
                 out.append(cut)
     return out
+
+
+def child_env() -> dict:
+    """The environment with this ``deltaforest`` on PYTHONPATH, so a child
+    interpreter imports it even when the package is not installed."""
+    src = str(Path(deltaforest.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

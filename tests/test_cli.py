@@ -1,22 +1,11 @@
 """Command-line interface: reports, exit codes, determinism."""
 import io
 import json
-import os
 from decimal import Decimal
 from math import comb
-from pathlib import Path
 
-import deltaforest
 from deltaforest.cli import main
-from conftest import EXAMPLE9_TEXT, KEEL_TEXT
-
-
-def child_env() -> dict:
-    """The environment with this ``deltaforest`` on PYTHONPATH, so a child
-    interpreter imports it even when the package is not installed."""
-    src = str(Path(deltaforest.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
+from conftest import EXAMPLE9_TEXT, KEEL_TEXT, child_env
 
 
 def run(capsys, *argv):
@@ -122,6 +111,13 @@ class TestEval:
         assert out == ""
         assert "expected an integer (at position 18)" in err
 
+    def test_integer_over_digit_limit_exits_2(self, capsys):
+        for text in ("n=" + "1" * 5000 + "; 1", "n=5; d(1,2|3,4,5)^" + "1" * 5000):
+            code, out, err = run(capsys, "eval", text)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: integer longer than 4300 digits")
+
     def test_huge_n_fails_without_building_the_label_set(self):
         import subprocess
         import sys
@@ -151,6 +147,16 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--plain", "--file", str(path))
         assert code == 0
         assert out == "2\n"
+
+    def test_file_not_utf8_exits_2(self, capsys, tmp_path):
+        # undecodable bytes read as surrogates, as on --stdin, and fail to parse
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"\xff\n")
+        code, out, err = run(capsys, "eval", "--file", str(path))
+        assert (code, out, err) == (2, "", "error: expected 'n' (at position 0)\n")
+        path.write_bytes(b"n=3; 1\n\xff\n")
+        code, out, err = run(capsys, "eval", "--file", str(path))
+        assert (code, out, err) == (2, "", "error: unexpected trailing input (at position 7)\n")
 
     def test_value_beyond_int_str_digit_limit(self, capsys):
         # comb(19996, 9998) has over 6000 digits

@@ -91,12 +91,29 @@ class TestParse:
             ("n=5; d(1, 9|3,4,5,2)", 10),    # positions point at the number,
             ("n=5; d(1,2|3, 3,4,5)", 14),    # not at the whitespace before it
             ("n=5; d(1,2| 9,4,5)", 12),
+            # integers longer than int() reads are reported at their first digit
+            pytest.param("n=" + "1" * 4301 + "; 1", 2, id="long-n"),
+            pytest.param(" n = " + "1" * 5000 + "; 1", 5, id="long-n-spaced"),
+            pytest.param("n=5; d(" + "1" * 4301 + ",2|3,4,5)", 7, id="long-first-label"),
+            pytest.param("n=5; d(1,2|3,4, " + "5" * 5000 + ")", 16, id="long-last-label"),
+            pytest.param("n=5; d(1,2|3,4,5)^" + "1" * 4301, 18, id="long-exponent"),
+            pytest.param("n=5; d(1,2|3,4,5) ^ " + "2" * 5000, 20, id="long-exponent-spaced"),
         ],
     )
     def test_errors_carry_position(self, text, where):
         with pytest.raises(ParseError) as err:
             parse_monomial(text)
         assert err.value.position == where
+
+    def test_digit_limit(self):
+        # 4300 digits still read as a number; one more is a parse error
+        with pytest.raises(ParseError, match="label 9{4300} outside 1..5"):
+            parse_monomial("n=5; d(1,2|3,4," + "9" * 4300 + ")")
+        with pytest.raises(ParseError, match="integer longer than 4300 digits"):
+            parse_monomial("n=5; d(1,2|3,4," + "9" * 4301 + ")")
+        # labels are checked in reading order
+        with pytest.raises(ParseError, match="label 7 outside"):
+            parse_monomial("n=5; d(1,7|3,4," + "9" * 4301 + ")")
 
     def test_non_ascii_decimal_digits(self):
         # \d and int() agree on every Unicode decimal digit

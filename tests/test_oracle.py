@@ -3,6 +3,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaforest import (
     LoadedTree,
@@ -22,8 +24,104 @@ from deltaforest import (
     tree_to_monomial,
     validate,
 )
-from deltaforest.trees import _random_proper_tree
-from conftest import EXAMPLE9_TEXT, fixture14_tree
+from deltaforest.oracle import _cut
+from deltaforest.trees import _edge, _random_proper_tree, _tree_from_pruefer
+from conftest import EXAMPLE9_TEXT, child_env, fixture14_tree
+
+
+def _double_path(k: int) -> LoadedTree:
+    """k vertices of two labels each, one more on vertex 0, every
+    multiplicity 2."""
+    labels = {v: {2 * v + 1, 2 * v + 2} for v in range(k)}
+    labels[0].add(2 * k + 1)
+    return LoadedTree(2 * k + 1, labels, {(v, v + 1): 2 for v in range(k - 1)})
+
+
+def _copying_oracle(t: LoadedTree, trace: list) -> int:
+    """The cut recursion on ``LoadedTree`` copies: every side is a new tree
+    and every rule scans the whole tree.  ``oracle_eval`` must choose the
+    same cuts in the same order and so write the same trace."""
+    value = -1 if sum(m - 1 for m in t.multiplicity.values()) % 2 else 1
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if not t.is_proper:
+            value = 0
+            continue
+        if not t.multiplicity:
+            continue
+        adj = t.adjacency()
+        single = next((e for e in t.edges if t.multiplicity[e] == 1), None)
+        heavy = [v for v in t.vertices if len(adj[v]) == 1 and len(t.labels[v]) >= 3]
+        if single is not None:
+            stage, e = "single_edge_cut", single
+        elif len(adj) == 2:
+            stage, e = "multi_edge_cut", t.edges[0]
+        elif heavy:
+            stage, e = "multi_edge_cut", _edge(heavy[0], adj[heavy[0]][0])
+        elif any(len(nb) == len(adj) - 1 for nb in adj.values()):
+            stage, e = "sun_like_tree", None
+        else:
+            stage, e = "star_cut", find_star_cut(t)
+        trace.append({"stage": stage, "vertices": len(adj), "labels": t.n})
+        if e is None:
+            value *= sun_like_value(t)
+            continue
+        binomial, left, right = _cut(t, e, pendant=stage != "single_edge_cut")
+        trace[-1]["binomial"] = list(binomial)
+        if left is None:
+            value = 0
+        elif stage != "single_edge_cut" and len(adj) == 2:
+            value *= comb(*binomial) * sun_like_value(left) * sun_like_value(right)
+        else:
+            value *= comb(*binomial)
+            stack += (right, left)
+    return value
+
+
+def _check(t: LoadedTree):
+    """oracle_eval agrees with the forest, and with the copying recursion
+    cut for cut."""
+    trace, expected = [], []
+    assert oracle_eval(t, trace=trace) == _copying_oracle(t, expected) == eval_loaded_tree(t)
+    assert trace == expected
+
+
+@st.composite
+def _loaded(draw, edges: list, mins: list, label_vertex=None) -> LoadedTree:
+    """A proper loaded tree on ``edges`` over vertices 0..len(edges).
+
+    Every vertex starts with the labels its degree requires, edge i with
+    multiplicity 1, and a vertex of degree d > 3 adds d - 3 to its first
+    edge.  Edge i then takes mins[i] - 1 plus up to two more units, each
+    one multiplicity on the edge and one label on one of its ends, which
+    keeps the value nonzero, or else on a vertex drawn from
+    ``label_vertex``; by default, on any vertex in half the trees.
+    """
+    n_vertices = len(edges) + 1
+    deg = [0] * n_vertices
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    count = [max(0, 3 - d) for d in deg]
+    mult = [1] * len(edges)
+    for v, d in enumerate(deg):
+        if d > 3:
+            mult[next(i for i, e in enumerate(edges) if v in e)] += d - 3
+    if label_vertex is None and draw(st.booleans()):
+        label_vertex = st.integers(0, n_vertices - 1)
+    for i, e in enumerate(edges):
+        for _ in range(mins[i] - 1 + draw(st.integers(0, 2))):
+            mult[i] += 1
+            end = st.sampled_from(e)
+            count[draw(end if label_vertex is None else end | label_vertex)] += 1
+    labels, at = {}, 1
+    for v, c in enumerate(count):
+        labels[v] = range(at, at + c)
+        at += c
+    t = LoadedTree(at - 1, labels, dict(zip(edges, mult)))
+    assert t.is_proper and validate(t) == []
+    return t
 
 
 class TestSingleEdgeCut:
@@ -328,7 +426,86 @@ class TestOracleEval:
             ("multi_edge_cut", [1, 1]),
             ("multi_edge_cut", [1, 1]),
         ]
-        assert all("structure" in r for r in trace)
+        # constant-size records: the counts of the tree each step reduces
+        assert all(set(r) <= {"stage", "binomial", "vertices", "labels"} for r in trace)
+        assert [(r["vertices"], r["labels"]) for r in trace] == [
+            (5, 14),
+            (3, 11),
+            (2, 5),
+            (3, 10),
+            (3, 9),
+            (2, 5),
+            (2, 5),
+        ]
+
+    def test_same_cuts_as_the_copying_recursion(self):
+        rng = random.Random(20261018)
+        for _ in range(500):
+            _check(_random_proper_tree(rng.randint(3, 16), rng))
+
+    # Shapes that _random_proper_tree rarely draws, at most 60 vertices.
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(2, 60))
+    def test_differential_heavy_paths(self, data, n_vertices):
+        edges = [(v, v + 1) for v in range(n_vertices - 1)]
+        _check(data.draw(_loaded(edges, [2] * len(edges))))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(2, 40))
+    def test_differential_stars_with_heavy_centre(self, data, leaves):
+        edges = [(0, v) for v in range(1, leaves + 1)]
+        mins = data.draw(st.lists(st.integers(1, 3), min_size=leaves, max_size=leaves))
+        _check(data.draw(_loaded(edges, mins, label_vertex=st.just(0))))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.lists(st.integers(1, 3), min_size=1, max_size=20))
+    def test_differential_caterpillars_with_doubled_pendants(self, data, pendants):
+        spine = len(pendants)
+        edges = [(v, v + 1) for v in range(spine - 1)]
+        for v, k in enumerate(pendants):
+            edges += [(v, len(edges) + 1 + j) for j in range(k)]
+        mins = [1] * (spine - 1) + [2] * sum(pendants)
+        _check(data.draw(_loaded(edges, mins)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(3, 60))
+    def test_differential_random_topologies_heavy_multiplicities(self, data, n_vertices):
+        k = n_vertices - 2
+        seq = data.draw(st.lists(st.integers(0, n_vertices - 1), min_size=k, max_size=k))
+        edges = _tree_from_pruefer(seq, n_vertices)
+        _check(data.draw(_loaded(edges, [2] * len(edges))))
+
+    def test_trace_is_linear_in_the_tree(self):
+        import json
+
+        trace = []
+        t = _double_path(2000)
+        assert oracle_eval(t, trace=trace) == eval_loaded_tree(t)
+        assert len(json.dumps(trace)) < 1_000_000
+
+    def test_long_path_in_linear_time(self):
+        # one cut per edge on 20000 vertices: about a second when each cut
+        # costs its smaller side, far beyond the timeout when it costs the tree
+        import subprocess
+        import sys
+
+        script = """
+from deltaforest import LoadedTree, eval_loaded_tree, oracle_eval
+k = 20000
+labels = {v: {2 * v + 1, 2 * v + 2} for v in range(k)}
+labels[0].add(2 * k + 1)
+t = LoadedTree(2 * k + 1, labels, {(v, v + 1): 2 for v in range(k - 1)})
+value = eval_loaded_tree(t)
+assert oracle_eval(t) == value != 0
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_deep_path_under_small_recursion_limit(self):
         # one cut per edge: a recursive oracle would need ~200 frames
